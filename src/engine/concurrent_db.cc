@@ -109,7 +109,7 @@ ConcurrentXmlDb::ConcurrentXmlDb(std::unique_ptr<XmlDb> db,
                                "COW chunks/runs path-copied across publishes");
   cow_chunks_shared_ =
       counter("engine.concurrent.snapshot.chunks_shared",
-              "COW chunks/runs shared (not copied) by snapshot forks");
+              "COW spine entries (groups) shared by snapshot forks");
   queue_depth_ = gauge("engine.concurrent.queue.depth",
                        "Write submission queue depth");
   snapshots_live_ = gauge("engine.concurrent.snapshots.live",

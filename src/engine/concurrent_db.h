@@ -349,8 +349,9 @@ class ConcurrentXmlDb {
   MirroredHistogram publish_ns_;  // Fork + Publish wall time per snapshot
   // COW publish cost, from the writer thread's CowStats deltas: bytes and
   // chunks path-copied since the previous publish (the group's touched
-  // set), and chunks shared by the Fork. These are the counters that prove
-  // a publish is O(touched), not O(N) (docs/CONCURRENCY.md).
+  // set), and spine entries (groups) shared by the Fork. These are the
+  // counters that prove a publish is O(touched), not O(N)
+  // (docs/CONCURRENCY.md).
   MirroredCounter cow_bytes_copied_;
   MirroredCounter cow_chunks_copied_;
   MirroredCounter cow_chunks_shared_;

@@ -321,10 +321,10 @@ class ContainmentLabeling : public Labeling {
 
   std::unique_ptr<Labeling> ForkShared() const override {
     // The copy constructor is COW across all per-node state (CowVector
-    // labels/levels + COW TreeSkeleton), so a fork shares every chunk:
-    // O(chunks), not O(nodes). This is the fast path the concurrent
-    // engine's publish takes for the whole containment family (V/F-Binary,
-    // Float, V/F-CDBS, QED, Hybrid).
+    // labels/levels + COW TreeSkeleton), so a fork shares every chunk for
+    // one refcount bump per spine group: O(nodes / 8192), not O(nodes).
+    // This is the fast path the concurrent engine's publish takes for the
+    // whole containment family (V/F-Binary, Float, V/F-CDBS, QED, Hybrid).
     return std::make_unique<ContainmentLabeling<Codec>>(*this);
   }
 

@@ -146,7 +146,7 @@ class DeweyLabeling : public Labeling {
 
   std::unique_ptr<Labeling> ForkShared() const override {
     // Copy construction is COW (CowVector labels + COW TreeSkeleton): a
-    // fork shares every chunk, O(chunks) instead of O(nodes).
+    // fork shares every chunk, O(spine groups) instead of O(nodes).
     return std::make_unique<DeweyLabeling>(*this);
   }
 

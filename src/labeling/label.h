@@ -118,7 +118,8 @@ class TreeSkeleton {
 
   // All per-node state is chunked copy-on-write (util/cow_vector.h): copying
   // a TreeSkeleton shares every chunk, and link updates path-copy only the
-  // touched chunks. This is what makes Labeling::ForkShared O(touched).
+  // touched groups and chunks. This is what makes Labeling::ForkShared
+  // O(touched).
   size_t live_count_ = 0;
   util::CowVector<uint8_t> removed_;
   util::CowVector<NodeId> parent_;
@@ -186,8 +187,8 @@ class Labeling {
   /// Copy-on-write fork: the O(touched) snapshot primitive behind the
   /// concurrent serving layer (docs/CONCURRENCY.md). Semantics are exactly
   /// Clone()'s; schemes whose state is COW-backed (the containment family,
-  /// Dewey) override this to share chunks so a fork costs O(chunks), not
-  /// O(nodes). The default falls back to the deep Clone().
+  /// Dewey) override this to share chunks so a fork costs O(spine groups),
+  /// not O(nodes). The default falls back to the deep Clone().
   virtual std::unique_ptr<Labeling> ForkShared() const { return Clone(); }
 
   /// True when ForkShared() genuinely shares state (COW chunks) instead of

@@ -187,14 +187,17 @@ void Tracer::RecordSpan(uint64_t trace_id, SpanName name, uint64_t start_ns,
   Slot& slot = ring->slots[i];
   // Seqlock write: odd while the fields are in flux, even (release) when
   // stable. Only this thread writes this ring, so a plain bump suffices.
+  // Field stores are release so a reader that sees any new field value
+  // also sees the odd sequence number (CollectSpans); this orders the
+  // seqlock without fences, which ThreadSanitizer cannot model.
   const uint32_t seq = slot.seq.load(std::memory_order_relaxed);
   slot.seq.store(seq + 1, std::memory_order_release);
-  slot.trace_id.store(trace_id, std::memory_order_relaxed);
-  slot.start_ns.store(start_ns, std::memory_order_relaxed);
-  slot.duration_ns.store(duration_ns, std::memory_order_relaxed);
-  slot.name.store(static_cast<uint8_t>(name), std::memory_order_relaxed);
+  slot.trace_id.store(trace_id, std::memory_order_release);
+  slot.start_ns.store(start_ns, std::memory_order_release);
+  slot.duration_ns.store(duration_ns, std::memory_order_release);
+  slot.name.store(static_cast<uint8_t>(name), std::memory_order_release);
   slot.outcome.store(static_cast<uint8_t>(outcome),
-                     std::memory_order_relaxed);
+                     std::memory_order_release);
   slot.seq.store(seq + 2, std::memory_order_release);
   spans_recorded_.fetch_add(1, std::memory_order_relaxed);
   stage_ns_[static_cast<size_t>(name)]->Record(duration_ns);
@@ -207,15 +210,17 @@ void Tracer::CollectSpans(uint64_t trace_id, std::vector<Span>* out) const {
       for (int attempt = 0; attempt < 3; ++attempt) {
         const uint32_t s1 = slot.seq.load(std::memory_order_acquire);
         if (s1 % 2 != 0) continue;  // mid-write; the span is being replaced
+        // Acquire field loads keep the re-check below after them, and one
+        // that reads a value stored after s1 makes the re-check see the
+        // writer's odd (or later) sequence number.
         Span span;
-        span.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-        span.start_ns = slot.start_ns.load(std::memory_order_relaxed);
-        span.duration_ns = slot.duration_ns.load(std::memory_order_relaxed);
+        span.trace_id = slot.trace_id.load(std::memory_order_acquire);
+        span.start_ns = slot.start_ns.load(std::memory_order_acquire);
+        span.duration_ns = slot.duration_ns.load(std::memory_order_acquire);
         span.name =
-            static_cast<SpanName>(slot.name.load(std::memory_order_relaxed));
+            static_cast<SpanName>(slot.name.load(std::memory_order_acquire));
         span.outcome = static_cast<SpanOutcome>(
-            slot.outcome.load(std::memory_order_relaxed));
-        std::atomic_thread_fence(std::memory_order_acquire);
+            slot.outcome.load(std::memory_order_acquire));
         if (slot.seq.load(std::memory_order_relaxed) != s1) continue;
         if (span.trace_id == trace_id &&
             static_cast<size_t>(span.name) < kNumSpanNames) {

@@ -40,7 +40,7 @@ std::unique_ptr<LabeledDocument> LabeledDocument::Fork() const {
   copy->pool_ = pool_;          // immutable, shared by pointer
   copy->tags_ = tags_;          // COW chunks
   copy->all_elements_ = all_elements_;  // COW runs
-  copy->by_tag_ = by_tag_;      // map of COW runs: O(#tags + #runs) pointers
+  copy->by_tag_ = by_tag_;      // map of COW spines: O(#tags + #groups)
   return copy;
 }
 

@@ -44,35 +44,23 @@ size_t TagList::RunOf(size_t i) const {
   return static_cast<size_t>(it - cum_.begin());
 }
 
-std::vector<NodeId>* TagList::MutableRun(size_t r) {
-  std::shared_ptr<std::vector<NodeId>>& run = runs_[r];
-  if (run.use_count() != 1) {
-    util::CowStats& stats = util::CowStats::Local();
-    ++stats.chunk_copies;
-    stats.bytes_copied += run->size() * sizeof(NodeId);
-    run = std::make_shared<std::vector<NodeId>>(*run);
-  }
-  return run.get();
-}
-
 void TagList::RebuildCum() {
   cum_.resize(runs_.size());
   uint32_t total = 0;
   for (size_t r = 0; r < runs_.size(); ++r) {
-    total += static_cast<uint32_t>(runs_[r]->size());
+    total += static_cast<uint32_t>(runs_[r].size());
     cum_[r] = total;
   }
 }
 
 void TagList::Append(NodeId id) {
-  if (runs_.empty() || runs_.back()->size() >= kRunTarget) {
-    runs_.push_back(std::make_shared<std::vector<NodeId>>());
-    runs_.back()->reserve(kRunTarget);
+  if (runs_.empty() || runs_.back().size() >= kRunTarget) {
+    auto run = std::make_shared<std::vector<NodeId>>();
+    run->reserve(kRunTarget);
+    runs_.PushBack(std::move(run));
     cum_.push_back(cum_.empty() ? 0 : cum_.back());
-  } else {
-    MutableRun(runs_.size() - 1);
   }
-  runs_.back()->push_back(id);
+  runs_.Mutable(runs_.size() - 1)->push_back(id);
   ++cum_.back();
 }
 
@@ -84,7 +72,7 @@ void TagList::InsertAt(size_t pos, NodeId id) {
   // pos == size() lands in the final run (append to it rather than opening
   // a fresh run, keeping runs near kRunTarget).
   const size_t r = pos == size() ? runs_.size() - 1 : RunOf(pos);
-  std::vector<NodeId>* run = MutableRun(r);
+  std::vector<NodeId>* run = runs_.Mutable(r);
   run->insert(run->begin() + (pos - RunStart(r)), id);
   if (run->size() > kRunMax) {
     // Split in half so both halves accept ~kRunTarget further splices
@@ -93,7 +81,7 @@ void TagList::InsertAt(size_t pos, NodeId id) {
     auto right = std::make_shared<std::vector<NodeId>>(
         run->begin() + half, run->end());
     run->resize(half);
-    runs_.insert(runs_.begin() + r + 1, std::move(right));
+    runs_.Insert(r + 1, std::move(right));
   }
   RebuildCum();
 }
@@ -108,7 +96,7 @@ void TagList::ErasePositions(std::vector<size_t>* positions) {
     const size_t start = RunStart(r);
     const size_t stop = cum_[r];
     if ((*positions)[p] >= stop) continue;
-    std::vector<NodeId>* run = MutableRun(r);
+    std::vector<NodeId>* run = runs_.Mutable(r);
     size_t out = 0;
     size_t q = p;
     for (size_t i = 0; i < run->size(); ++i) {
@@ -121,20 +109,16 @@ void TagList::ErasePositions(std::vector<size_t>* positions) {
     run->resize(out);
     p = q;
   }
-  // Drop emptied runs.
-  size_t kept = 0;
-  for (size_t r = 0; r < runs_.size(); ++r) {
-    if (!runs_[r]->empty()) runs_[kept++] = std::move(runs_[r]);
-  }
-  runs_.resize(kept);
+  // Drop emptied runs (and groups they empty).
+  runs_.EraseIf([](const std::vector<NodeId>& run) { return run.empty(); });
   RebuildCum();
 }
 
 std::vector<NodeId> TagList::ToVector() const {
   std::vector<NodeId> out;
   out.reserve(size());
-  for (const std::shared_ptr<std::vector<NodeId>>& run : runs_) {
-    out.insert(out.end(), run->begin(), run->end());
+  for (size_t r = 0; r < runs_.size(); ++r) {
+    out.insert(out.end(), runs_[r].begin(), runs_[r].end());
   }
   return out;
 }

@@ -9,17 +9,18 @@
 
 #include "labeling/label.h"
 #include "util/check.h"
-#include "util/cow_vector.h"
+#include "util/cow_spine.h"
 
 /// \file
 /// The COW building blocks of the tag index (query/tag_index.h):
 ///
 ///  * `TagList` — a document-ordered node-id list stored as a sequence of
-///    immutable sorted runs held by `shared_ptr`. Forking shares every run;
-///    splicing or erasing path-copies only the touched run. This is what
-///    makes snapshot publication O(touched): the hot write path
-///    (`NoteInsertedNode`) copies one run of at most kRunMax ids instead of
-///    a whole per-tag vector.
+///    immutable sorted runs, the leaves of a two-level `util::CowSpine`
+///    (ordered, variable-size groups of runs). Forking shares every run
+///    for one refcount bump per group; splicing or erasing path-copies only
+///    the touched group and run. This is what makes snapshot publication
+///    O(touched): the hot write path (`NoteInsertedNode`) copies one run of
+///    at most kRunMax ids instead of a whole per-tag vector.
 ///  * `TagPool` — an immutable interning pool mapping tag names to dense
 ///    `TagId`s. All snapshot versions share one pool by `shared_ptr`;
 ///    interning a brand-new tag name (rare) copies the pool, never touching
@@ -62,8 +63,9 @@ class TagPool {
 };
 
 /// A document-ordered list of node ids as COW sorted runs. Forks share all
-/// runs; one insert or erase copies exactly one run (plus an O(#runs)
-/// offset rebuild). Reads are allocation-free.
+/// runs; one insert or erase copies exactly one run and its group (plus an
+/// O(#runs) offset rebuild). Reads are allocation-free and reach a run
+/// through the spine's flat index, beside the `cum_` offsets.
 class TagList {
  public:
   /// Runs are sealed at kRunTarget ids during in-order bulk builds and
@@ -71,31 +73,15 @@ class TagList {
   static constexpr size_t kRunTarget = 256;
   static constexpr size_t kRunMax = 512;
 
-  TagList() = default;
-
-  /// O(#runs) spine copy; every run becomes shared.
-  TagList(const TagList& other) : runs_(other.runs_), cum_(other.cum_) {
-    util::CowStats::Local().chunks_shared += runs_.size();
-  }
-  TagList& operator=(const TagList& other) {
-    if (this != &other) {
-      runs_ = other.runs_;
-      cum_ = other.cum_;
-      util::CowStats::Local().chunks_shared += runs_.size();
-    }
-    return *this;
-  }
-  TagList(TagList&&) noexcept = default;
-  TagList& operator=(TagList&&) noexcept = default;
-
   size_t size() const { return cum_.empty() ? 0 : cum_.back(); }
   bool empty() const { return size() == 0; }
   size_t run_count() const { return runs_.size(); }
+  size_t group_count() const { return runs_.group_count(); }
 
   /// Random access by logical index: O(log #runs).
   NodeId operator[](size_t i) const {
     const size_t r = RunOf(i);
-    return (*runs_[r])[i - RunStart(r)];
+    return runs_[r][i - RunStart(r)];
   }
 
   /// Allocation-free forward iterator with O(1) increment; the sequential
@@ -103,9 +89,9 @@ class TagList {
   class Iterator {
    public:
     Iterator() = default;
-    NodeId operator*() const { return (*list_->runs_[run_])[offset_]; }
+    NodeId operator*() const { return list_->runs_[run_][offset_]; }
     Iterator& operator++() {
-      if (++offset_ == list_->runs_[run_]->size()) {
+      if (++offset_ == list_->runs_[run_].size()) {
         ++run_;
         offset_ = 0;
       }
@@ -215,8 +201,8 @@ class TagList {
   bool RunsSorted(Less less) const {
     NodeId prev = 0;
     bool have_prev = false;
-    for (const std::shared_ptr<std::vector<NodeId>>& run : runs_) {
-      for (const NodeId id : *run) {
+    for (size_t r = 0; r < runs_.size(); ++r) {
+      for (const NodeId id : runs_[r]) {
         if (have_prev && less(id, prev)) return false;
         prev = id;
         have_prev = true;
@@ -234,11 +220,9 @@ class TagList {
   /// Erases the (ascending, deduplicated-by-construction) positions,
   /// copying each touched run once.
   void ErasePositions(std::vector<size_t>* positions);
-  /// Clones runs_[r] iff shared; charges CowStats.
-  std::vector<NodeId>* MutableRun(size_t r);
   void RebuildCum();
 
-  std::vector<std::shared_ptr<std::vector<NodeId>>> runs_;
+  util::CowSpine<std::vector<NodeId>> runs_;
   std::vector<uint32_t> cum_;  ///< cum_[r] = ids in runs_[0..r] inclusive
 };
 

@@ -121,7 +121,9 @@ TEST(BitStringFuzzTest, HashAgreesWithEquality) {
   }
   for (const BitString& a : pool) {
     for (const BitString& b : pool) {
-      if (a == b) ASSERT_EQ(a.Hash(), b.Hash());
+      if (a == b) {
+        ASSERT_EQ(a.Hash(), b.Hash());
+      }
     }
   }
 }

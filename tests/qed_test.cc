@@ -84,7 +84,9 @@ TEST(QedEncodeRangeTest, ProducesOrderedValidCodes) {
       ASSERT_TRUE(IsValidQedCode(codes[i])) << codes[i];
       ASSERT_FALSE(codes[i].empty());
       unique.insert(codes[i]);
-      if (i > 0) ASSERT_LT(codes[i - 1], codes[i]);
+      if (i > 0) {
+        ASSERT_LT(codes[i - 1], codes[i]);
+      }
     }
     EXPECT_EQ(unique.size(), n);
   }
@@ -121,8 +123,12 @@ TEST(QedDynamicTest, RandomInsertionsPreserveOrder) {
     const QedCode right = pos == codes.size() ? QedCode() : codes[pos];
     const QedCode mid = QedInsertBetween(left, right);
     ASSERT_TRUE(IsValidQedCode(mid));
-    if (!left.empty()) ASSERT_LT(left, mid);
-    if (!right.empty()) ASSERT_LT(mid, right);
+    if (!left.empty()) {
+      ASSERT_LT(left, mid);
+    }
+    if (!right.empty()) {
+      ASSERT_LT(mid, right);
+    }
     codes.insert(codes.begin() + static_cast<ptrdiff_t>(pos), mid);
   }
   EXPECT_TRUE(std::is_sorted(codes.begin(), codes.end()));
