@@ -77,7 +77,7 @@ int main() {
   }
   std::printf("\n");
 
-  bool counts_printed = false;
+  std::vector<uint64_t> first_counts;  // every scheme must match these
   for (const char* scheme_name : kSchemes) {
     const std::unique_ptr<LabelingScheme> scheme =
         cdbs::labeling::SchemeByName(scheme_name);
@@ -107,8 +107,13 @@ int main() {
       std::fflush(stdout);
     }
     std::printf("\n");
-    if (!counts_printed) {
-      counts_printed = true;
+    if (!first_counts.empty() && counts != first_counts) {
+      std::printf("%s: match counts differ from %s's\n", scheme_name,
+                  kSchemes[0]);
+      return 1;
+    }
+    if (first_counts.empty()) {
+      first_counts = counts;
       std::printf("%-26s %10s", "  matches (all schemes)", "");
       for (const uint64_t c : counts) {
         std::printf(" %10llu", static_cast<unsigned long long>(c));

@@ -30,6 +30,8 @@
 ///
 /// `u` is an ancestor of `v` iff start(u) < start(v) and end(v) < end(u) in
 /// the codec's order; parent additionally requires a level difference of 1.
+/// The level component of every label is the skeleton's level array: the
+/// two would hold the same value per node, so one array serves both.
 
 namespace cdbs::labeling {
 
@@ -267,14 +269,14 @@ class ContainmentLabeling : public Labeling {
   }
 
   bool IsParent(NodeId p, NodeId c) const override {
-    return level_[c] - level_[p] == 1 && IsAncestor(p, c);
+    return skeleton_.level(c) - skeleton_.level(p) == 1 && IsAncestor(p, c);
   }
 
   int CompareOrder(NodeId a, NodeId b) const override {
     return codec_.Compare(start_[a], start_[b]);
   }
 
-  int Level(NodeId n) const override { return level_[n]; }
+  int Level(NodeId n) const override { return skeleton_.level(n); }
 
   InsertResult InsertSiblingBefore(NodeId target) override {
     // The new interval goes between the value preceding start(target) —
@@ -302,7 +304,7 @@ class ContainmentLabeling : public Labeling {
   std::string SerializeLabel(NodeId n) const override {
     std::string out = codec_.Serialize(start_[n]);
     out += codec_.Serialize(end_[n]);
-    out.push_back(static_cast<char>(level_[n]));
+    out.push_back(static_cast<char>(skeleton_.level(n)));
     return out;
   }
 
@@ -321,7 +323,7 @@ class ContainmentLabeling : public Labeling {
 
   std::unique_ptr<Labeling> ForkShared() const override {
     // The copy constructor is COW across all per-node state (CowVector
-    // labels/levels + COW TreeSkeleton), so a fork shares every chunk for
+    // labels + COW TreeSkeleton), so a fork shares every chunk for
     // one refcount bump per spine group: O(nodes / 8192), not O(nodes).
     // This is the fast path the concurrent engine's publish takes for the
     // whole containment family (V/F-Binary, Float, V/F-CDBS, QED, Hybrid).
@@ -345,13 +347,11 @@ class ContainmentLabeling : public Labeling {
     codec_.Init(2 * skeleton_.live_count(), &values);
     start_.Resize(skeleton_.size());
     end_.Resize(skeleton_.size());
-    level_.Resize(skeleton_.size());
     for (size_t i = 0; i < skeleton_.size(); ++i) {
       if (skeleton_.is_removed(static_cast<NodeId>(i))) continue;
       // Each rank indexes `values` exactly once, so moving out is safe.
       start_.Set(i, std::move(values[start_rank[i] - 1]));
       end_.Set(i, std::move(values[end_rank[i] - 1]));
-      level_.Set(i, skeleton_.level(static_cast<NodeId>(i)));
     }
   }
 
@@ -366,7 +366,6 @@ class ContainmentLabeling : public Labeling {
     if (codec_.TryInsertTwoBetween(left, right, &v1, &v2, &neighbor_bits)) {
       start_.PushBack(std::move(v1));
       end_.PushBack(std::move(v2));
-      level_.PushBack(skeleton_.level(id));
       codec_.NoteUniverse(2 * skeleton_.size());
       result.neighbor_bits_modified = neighbor_bits;
       return result;
@@ -393,7 +392,6 @@ class ContainmentLabeling : public Labeling {
       }
       start_.PushBack(pivot);
       end_.PushBack(pivot + 1);
-      level_.PushBack(skeleton_.level(id));
       codec_.NoteUniverse(2 * skeleton_.size());
       result.relabeled = result.relabeled_nodes.size();
     } else {
@@ -414,7 +412,6 @@ class ContainmentLabeling : public Labeling {
   TreeSkeleton skeleton_;
   util::CowVector<Value> start_;
   util::CowVector<Value> end_;
-  util::CowVector<int> level_;
 };
 
 /// ---- Factories ----------------------------------------------------------

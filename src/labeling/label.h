@@ -69,7 +69,9 @@ void NoteOverflowEvent();
 /// Structural bookkeeping shared by all schemes: parent/level/sibling links
 /// for every labeled node, maintained across insertions. Schemes use it to
 /// locate the neighbouring labels an insertion goes between; it is *not*
-/// consulted by the relationship predicates (those use labels only).
+/// consulted by the relationship predicates (those use labels only), except
+/// that the containment schemes keep their labels' level component in its
+/// level array.
 class TreeSkeleton {
  public:
   /// Builds the skeleton of `doc` in document order. If `order_out` is

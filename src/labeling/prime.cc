@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <unordered_map>
 
 #include "bigint/bigint.h"
 #include "util/check.h"
@@ -95,11 +96,9 @@ class PrimeLabeling : public Labeling {
   }
 
   int CompareOrder(NodeId a, NodeId b) const override {
-    // Orders are recovered from SC values with modular arithmetic — the
-    // cost the paper attributes to Prime's ordering.
-    const uint64_t oa = sc_[GroupOf(a)].ModSmall(self_[a]);
-    const uint64_t ob = sc_[GroupOf(b)].ModSmall(self_[b]);
-    return oa < ob ? -1 : (oa > ob ? 1 : 0);
+    const uint64_t ka = OrderKey(a);
+    const uint64_t kb = OrderKey(b);
+    return ka < kb ? -1 : (ka > kb ? 1 : 0);
   }
 
   int Level(NodeId n) const override { return skeleton_.level(n); }
@@ -136,6 +135,14 @@ class PrimeLabeling : public Labeling {
     }
     // Groups from the deletion point on change membership; recompute.
     result.relabeled = RecomputeScFrom((first_position - 1) / kScGroupSize);
+    // The removed nodes lose their SC residues (their groups may be gone)
+    // but must still compare, in their old order, just before the node
+    // that now holds their subtree's first position: the tag lists find
+    // them by binary search to erase them.
+    const uint64_t next_key = uint64_t{first_position} << 32;
+    for (size_t i = 0; i < result.removed.size(); ++i) {
+      removed_key_[result.removed[i]] = next_key - (result.removed.size() - i);
+    }
     return result;
   }
 
@@ -153,6 +160,15 @@ class PrimeLabeling : public Labeling {
 
  private:
   size_t GroupOf(NodeId n) const { return (order_[n] - 1) / kScGroupSize; }
+
+  // Document-order sort key: a live node's order, recovered from its SC
+  // value with modular arithmetic — the cost the paper attributes to
+  // Prime's ordering — in the high half; a removed node's key is fixed by
+  // DeleteSubtree.
+  uint64_t OrderKey(NodeId n) const {
+    if (skeleton_.is_removed(n)) return removed_key_.at(n);
+    return sc_[GroupOf(n)].ModSmall(self_[n]) << 32;
+  }
 
   // Replaces the self prime of `n` with a fresh (larger) one and rebuilds
   // the labels of n's subtree. Needed when repeated insertions push a node's
@@ -238,6 +254,7 @@ class PrimeLabeling : public Labeling {
   std::vector<uint32_t> order_;    // 1-based document order per node
   std::vector<NodeId> by_order_;   // node at each document position
   std::vector<BigInt> sc_;         // one SC value per group of 5 positions
+  std::unordered_map<NodeId, uint64_t> removed_key_;  // OrderKey of removed
 };
 
 class PrimeScheme : public LabelingScheme {

@@ -11,6 +11,23 @@
 /// (child, descendant, sibling, order) is answered by the labeling's
 /// predicates, so response times directly reflect each scheme's label
 /// comparison costs — exactly what Figure 6 measures.
+///
+/// Each step keeps its output in document order and free of duplicates, by
+/// construction where it can (staircase join, Grust et al.):
+///   - a descendant step drops every context nested in the last kept one,
+///     so the kept contexts' subtrees are disjoint and their outputs simply
+///     concatenate;
+///   - a following:: step expands only the context whose subtree ends
+///     first, whose following set is the union of all of them;
+///   - `//name[n]` ranks its candidates in one pass with a stack of
+///     (parent, count) frames, looking each distinct parent up once;
+///   - a subtree's candidates are bounded by a galloping search on
+///     IsAncestor instead of a test per candidate.
+/// Child, preceding-sibling::, parent:: and ancestor:: steps check their
+/// output's order in one linear pass and sort by CompareOrder only when
+/// the check fails (children of nested contexts interleave; the upward and
+/// sibling axes overlap between contexts). Every predicate call is counted
+/// in `query.eval.label_comparisons`.
 
 namespace cdbs::query {
 
@@ -26,7 +43,7 @@ uint64_t CountMatches(const Query& query,
 
 /// Finds the parent of `node` using labels only (scan back through the
 /// document-ordered element list until IsParent matches). Exposed for
-/// tests.
+/// tests; its predicate calls count in `query.eval.label_comparisons`.
 NodeId FindParent(const LabeledDocument& doc, NodeId node);
 
 }  // namespace cdbs::query

@@ -99,6 +99,25 @@ TEST(PrimeLabelingTest, DeleteSubtreeRecomputesTailGroups) {
   EXPECT_LT(labeling->CompareOrder(0, victim - 1), 0);
 }
 
+TEST(PrimeLabelingTest, RemovedNodesStillCompareWhereTheyWere) {
+  // The tag lists erase removed ids by label-order binary search after the
+  // delete, so removed nodes must still compare — even when their SC groups
+  // are gone. Deleting the root's last child drops the document's tail.
+  const xml::Document play = xml::GeneratePlay(31, 400);
+  auto labeling = MakePrimeScheme()->Label(play);
+  const NodeId victim = labeling->skeleton().last_child(0);
+  const DeleteResult result = labeling->DeleteSubtree(victim);
+  ASSERT_GT(result.removed.size(), 5u);
+  ASSERT_EQ(result.removed.front(), victim);
+  const NodeId before = victim - 1;  // ids of the labeled play are ranks
+  EXPECT_LT(labeling->CompareOrder(before, victim), 0);
+  for (size_t i = 1; i < result.removed.size(); ++i) {
+    EXPECT_LT(labeling->CompareOrder(result.removed[i - 1], result.removed[i]),
+              0);
+    EXPECT_GT(labeling->CompareOrder(result.removed[i], before), 0);
+  }
+}
+
 TEST(PrimeLabelingTest, LabelSizesAreMuchLargerThanContainment) {
   const xml::Document play = xml::GeneratePlay(31, 500);
   auto labeling = MakePrimeScheme()->Label(play);
