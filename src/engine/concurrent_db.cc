@@ -139,6 +139,9 @@ void ConcurrentXmlDb::Shutdown() {
     shut_down_.store(true);
     write_queue_.Close();
     if (writer_.joinable()) writer_.join();
+    // A clean close checkpoints, so the store reopens with nothing to
+    // replay. A failure loses nothing: the WAL still holds every commit.
+    static_cast<void>(db_->Checkpoint());
     // A shared pool belongs to the sharded front-end: it is shut down by
     // its owner after every shard, so tasks already queued for this shard
     // still run (the object outlives Shutdown; reads stay safe until

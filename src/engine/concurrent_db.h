@@ -183,8 +183,9 @@ class ConcurrentXmlDb {
 
   // --- lifecycle & introspection ---
 
-  /// Stops accepting requests, drains both pipelines, joins all threads.
-  /// Idempotent; the destructor calls it.
+  /// Stops accepting requests, drains both pipelines, joins all threads,
+  /// then checkpoints the label store (XmlDb::Checkpoint). Idempotent; the
+  /// destructor calls it.
   void Shutdown();
 
   // --- supervision (docs/ROBUSTNESS.md) ---

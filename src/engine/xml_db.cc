@@ -410,6 +410,10 @@ Status XmlDb::ReopenStore() {
   return Status::OK();
 }
 
+Status XmlDb::Checkpoint() {
+  return store_ == nullptr ? Status::OK() : store_->Checkpoint();
+}
+
 Result<std::vector<NodeId>> XmlDb::Query(const std::string& xpath) const {
   obs::ScopedTimer timer(query_ns_);
   Result<query::Query> parsed = query::ParseQuery(xpath);

@@ -56,7 +56,9 @@ struct XmlDbStats {
   uint64_t deletions = 0;          // nodes removed so far
   uint64_t relabeled_total = 0;   // labels rewritten by updates so far
   uint64_t overflow_events = 0;   // full re-encodes (Example 6.1)
-  uint64_t store_page_writes = 0;  // 0 when not persistent
+  // Label-store page writes: the bulk load and checkpoints, not commits
+  // (docs/DURABILITY.md). 0 when not persistent.
+  uint64_t store_page_writes = 0;
 };
 
 /// An id-preserving snapshot of a database: the serialized tree plus the
@@ -149,6 +151,11 @@ class XmlDb {
 
   /// The labeled document + tag index (for snapshotting via Fork()).
   const query::LabeledDocument& labeled() const { return *labeled_; }
+
+  /// Writes the label store's pending pages and header to its page file
+  /// and empties its WAL (storage::LabelStore::Checkpoint), so a reopen has
+  /// nothing to replay. No-op for an in-memory database.
+  Status Checkpoint();
 
   /// The persistent label store; null when the database is in-memory only.
   /// Exposed for store-level inspection (I/O and WAL metrics) in tests and

@@ -61,7 +61,7 @@ enum class SpanName : uint8_t {
   kCommitStage,   ///< store: staging page after-images + WAL payloads
   kWalAppend,     ///< WAL: the group's record append (one pwrite)
   kWalFsync,      ///< WAL: the group's one fdatasync
-  kStoreApply,    ///< store: page images + header write + store fsync
+  kStoreApply,    ///< store: pending-page install (+ a due checkpoint)
   kPublish,       ///< snapshot publication (Fork + Publish)
 };
 inline constexpr int kNumSpanNames = 12;

@@ -95,6 +95,13 @@ LabelStore::LabelStore() {
       "storage.io_retries", "Transient page I/O failures that were retried");
   recoveries_ = registry_.GetCounter(
       "storage.recovery.replays", "WAL replay passes performed at open");
+  syncs_ = registry_.GetCounter(
+      "storage.syncs",
+      "fsyncs the store issued: commit WAL fsyncs, page-file fsyncs and "
+      "WAL truncation fsyncs");
+  checkpoints_ = registry_.GetCounter(
+      "storage.checkpoints",
+      "Checkpoints that wrote pending pages and emptied the WAL");
   read_ns_ = registry_.GetHistogram("storage.page_read.ns",
                                     "Wall time per page read");
   write_ns_ = registry_.GetHistogram("storage.page_write.ns",
@@ -117,6 +124,10 @@ LabelStore::LabelStore() {
       "storage.io_retries", "Page I/O retries, all label stores");
   global_recoveries_ = global.GetCounter(
       "storage.recovery.replays", "WAL replay passes, all label stores");
+  global_syncs_ = global.GetCounter("storage.syncs",
+                                    "Store fsyncs, all label stores");
+  global_checkpoints_ = global.GetCounter(
+      "storage.checkpoints", "Checkpoints, all label stores");
 }
 
 LabelStore::~LabelStore() {
@@ -244,10 +255,11 @@ Status LabelStore::OpenWithFormat(const std::string& path, uint32_t format) {
   format_ = format;
   tag_names_.clear();
   tag_blob_.clear();
+  pending_.clear();
   registry_.ResetAll();
   if (wal_ == nullptr) wal_ = std::make_unique<Wal>(&registry_);
   CDBS_RETURN_NOT_OK(wal_->Open(WalPath(path)));
-  CDBS_RETURN_NOT_OK(wal_->Reset());
+  CDBS_RETURN_NOT_OK(ResetWal());
   // An empty store is still a valid, reopenable store: header down and
   // durable before the first record arrives.
   CDBS_RETURN_NOT_OK(WriteHeader());
@@ -262,6 +274,7 @@ Status LabelStore::OpenExisting(const std::string& path) {
   path_ = path;
   tag_names_.clear();
   tag_blob_.clear();
+  pending_.clear();
   registry_.ResetAll();
   if (wal_ == nullptr) wal_ = std::make_unique<Wal>(&registry_);
   CDBS_RETURN_NOT_OK(wal_->Open(WalPath(path)));
@@ -277,7 +290,7 @@ Status LabelStore::OpenExisting(const std::string& path) {
       CDBS_RETURN_NOT_OK(ReplayWalRecord(payload));
     }
     CDBS_RETURN_NOT_OK(SyncFile());
-    CDBS_RETURN_NOT_OK(wal_->Reset());
+    CDBS_RETURN_NOT_OK(ResetWal());
     recoveries_->Increment();
     global_recoveries_->Increment();
   }
@@ -393,6 +406,7 @@ Status LabelStore::BulkLoad(const std::vector<std::string>& records,
   if (per_page == 0) {
     return Status::InvalidArgument("record larger than a page");
   }
+  pending_.clear();
   if (::ftruncate(fd_, 0) != 0) return Status::IoError("truncate failed");
 
   std::vector<char> page(kPageSize, 0);
@@ -406,7 +420,7 @@ Status LabelStore::BulkLoad(const std::vector<std::string>& records,
   CDBS_RETURN_NOT_OK(WriteHeader());
   CDBS_RETURN_NOT_OK(SyncFile());
   // The fresh content supersedes any logged batch.
-  return wal_->Reset();
+  return ResetWal();
 }
 
 Status LabelStore::ApplyBatch(const StoreBatch& batch) {
@@ -466,7 +480,7 @@ Status LabelStore::StageBatch(const StoreBatch& batch, uint64_t* count,
       if (index % per_page == 0 && op.kind == StoreBatch::OpKind::kAppend) {
         page.assign(kPageSize, 0);  // fresh page
       } else {
-        CDBS_RETURN_NOT_OK(ReadPage(page_index, &page));
+        CDBS_RETURN_NOT_OK(LoadPage(page_index, &page));
       }
       it = dirty->emplace(page_index, std::move(page)).first;
     }
@@ -536,23 +550,56 @@ Status LabelStore::ApplyBatchGroup(
   if (payloads.empty()) return Status::OK();
   stage_span.End();
 
-  // Stage 2 — group commit: make every batch durable in the WAL with ONE
-  // append + ONE fsync before touching any page. This is where batching
-  // concurrent updates amortizes the durability cost.
+  // Stage 2 — group commit: ONE append + ONE fsync makes every batch
+  // durable. This is the commit point, and unless a checkpoint is due the
+  // only I/O the commit does. The store's errno sites fire here too: the
+  // WAL shares the store's device.
   std::vector<std::string_view> views(payloads.begin(), payloads.end());
+  CDBS_RETURN_NOT_OK(InjectedWriteError());
   CDBS_RETURN_NOT_OK(wal_->AppendBatch(views));
+  CDBS_RETURN_NOT_OK(InjectedSyncError());
   CDBS_RETURN_NOT_OK(wal_->Sync());
+  syncs_->Increment();
+  global_syncs_->Increment();
 
-  // Stage 3 — apply. A crash from here on is repaired by redo at reopen.
+  // Stage 3 — install: the staged images become the pending pages, and
+  // the page file catches up at the next checkpoint. A crash from here on
+  // is repaired by redo at reopen.
   obs::TraceSpan apply_span(obs::SpanName::kStoreApply);
-  const uint64_t total_pages = PagesFor(new_count, new_slot);
-  CDBS_RETURN_NOT_OK(
-      ApplyPageImages(new_count, new_slot, total_pages, dirty));
-  CDBS_RETURN_NOT_OK(SyncFile());
+  for (auto& [page_index, page] : dirty) {
+    pending_.insert_or_assign(page_index, std::move(page));
+  }
+  slot_size_ = static_cast<size_t>(new_slot);
+  record_count_ = static_cast<size_t>(new_count);
+  // A reload that shrank the store leaves no page past its new end.
+  pending_.erase(pending_.lower_bound(PagesFor(new_count, new_slot)),
+                 pending_.end());
+  if (wal_->size_bytes() <= kCheckpointWalBytes) return Status::OK();
+  return Checkpoint();
+}
 
-  // Stage 4 — checkpoint: pages and header are durable, drop the records.
-  // (A crash before this lands merely replays the group, idempotently.)
-  return wal_->Reset();
+Status LabelStore::Checkpoint() {
+  if (fd_ < 0) return Status::Internal("store not open");
+  if (crashed_) return Status::IoError("store crashed (injected)");
+  if (pending_.empty() && wal_->size_bytes() == 0) return Status::OK();
+  CDBS_RETURN_NOT_OK(ApplyPageImages(record_count_, slot_size_,
+                                     PagesFor(record_count_, slot_size_),
+                                     pending_));
+  CDBS_RETURN_NOT_OK(SyncFile());
+  // The page file now holds every committed page; the log can go. A crash
+  // before the truncation is durable replays it, idempotently.
+  pending_.clear();
+  CDBS_RETURN_NOT_OK(ResetWal());
+  checkpoints_->Increment();
+  global_checkpoints_->Increment();
+  return Status::OK();
+}
+
+Status LabelStore::ResetWal() {
+  CDBS_RETURN_NOT_OK(wal_->Reset());
+  syncs_->Increment();
+  global_syncs_->Increment();
+  return Status::OK();
 }
 
 Status LabelStore::ApplyPageImages(
@@ -635,7 +682,7 @@ Status LabelStore::Read(size_t index, std::string* record) {
   if (index >= record_count_) return Status::OutOfRange("record index");
   const size_t per_page = SlotsPerPage();
   std::vector<char> page;
-  CDBS_RETURN_NOT_OK(ReadPage(1 + index / per_page, &page));
+  CDBS_RETURN_NOT_OK(LoadPage(1 + index / per_page, &page));
   return GetPageRecord(page, index % per_page, slot_size_, record);
 }
 
@@ -644,6 +691,7 @@ Status LabelStore::Rewrite(size_t index, const std::string& record) {
   if (record.size() + kSlotHeader > slot_size_) {
     return Status::OutOfRange("record no longer fits its slot");
   }
+  CDBS_RETURN_NOT_OK(Checkpoint());
   const size_t per_page = SlotsPerPage();
   std::vector<char> page;
   CDBS_RETURN_NOT_OK(ReadPage(1 + index / per_page, &page));
@@ -660,6 +708,7 @@ Status LabelStore::Append(const std::string& record) {
   if (record.size() + kSlotHeader > slot_size_) {
     return Status::OutOfRange("record does not fit a slot");
   }
+  CDBS_RETURN_NOT_OK(Checkpoint());
   const size_t per_page = SlotsPerPage();
   const size_t index = record_count_;
   const uint64_t page_index = 1 + index / per_page;
@@ -676,7 +725,10 @@ Status LabelStore::Append(const std::string& record) {
   return WriteHeader();
 }
 
-Status LabelStore::Sync() { return SyncFile(); }
+Status LabelStore::Sync() {
+  CDBS_RETURN_NOT_OK(Checkpoint());
+  return SyncFile();
+}
 
 void LabelStore::set_failpoint_scope(std::string_view scope) {
   if (scope.empty()) {
@@ -695,19 +747,15 @@ Status LabelStore::SyncFile() {
     crashed_ = true;
     return Status::IoError("injected crash: store sync");
   }
-  // Errno-classified injection (ENOSPC/EDQUOT/EIO): persistent failures are
-  // surfaced immediately without retrying — a full disk does not clear on
-  // its own; the supervision layer owns recovery (docs/ROBUSTNESS.md).
-  int injected_errno = 0;
-  if (CDBS_FAILPOINT_ERRNO("storage.sync.error", &injected_errno) ||
-      (!scoped_sync_error_.empty() &&
-       CDBS_FAILPOINT_ERRNO(scoped_sync_error_, &injected_errno))) {
-    return ErrnoToStatus(injected_errno, "injected sync error");
-  }
+  CDBS_RETURN_NOT_OK(InjectedSyncError());
   for (int attempt = 0;; ++attempt) {
     const bool injected = CDBS_FAILPOINT("storage.sync.io_error");
     if (!injected) {
-      if (::fdatasync(fd_) == 0) return Status::OK();
+      if (::fdatasync(fd_) == 0) {
+        syncs_->Increment();
+        global_syncs_->Increment();
+        return Status::OK();
+      }
       if (errno == ENOSPC || errno == EDQUOT) {
         return ErrnoToStatus(errno, "fdatasync failed");
       }
@@ -721,11 +769,35 @@ Status LabelStore::SyncFile() {
   }
 }
 
+// Errno-classified injection (ENOSPC/EDQUOT/EIO): persistent failures are
+// surfaced immediately without retrying — a full disk does not clear on
+// its own; the supervision layer owns recovery (docs/ROBUSTNESS.md).
+Status LabelStore::InjectedSyncError() const {
+  int injected_errno = 0;
+  if (CDBS_FAILPOINT_ERRNO("storage.sync.error", &injected_errno) ||
+      (!scoped_sync_error_.empty() &&
+       CDBS_FAILPOINT_ERRNO(scoped_sync_error_, &injected_errno))) {
+    return ErrnoToStatus(injected_errno, "injected sync error");
+  }
+  return Status::OK();
+}
+
+Status LabelStore::InjectedWriteError() const {
+  int injected_errno = 0;
+  if (CDBS_FAILPOINT_ERRNO("storage.write_page.error", &injected_errno) ||
+      (!scoped_write_error_.empty() &&
+       CDBS_FAILPOINT_ERRNO(scoped_write_error_, &injected_errno))) {
+    return ErrnoToStatus(injected_errno, "injected write error");
+  }
+  return Status::OK();
+}
+
 Status LabelStore::VerifyChecksums() {
   if (fd_ < 0) return Status::Internal("store not open");
   const uint64_t pages = PagesFor(record_count_, slot_size_);
   std::vector<char> page;
   for (uint64_t p = 0; p < pages; ++p) {
+    if (pending_.count(p) != 0) continue;  // not in the file yet
     CDBS_RETURN_NOT_OK(ReadPage(p, &page));
   }
   return Status::OK();
@@ -772,6 +844,13 @@ Status LabelStore::ReadPage(uint64_t page_index, std::vector<char>* page) {
   return Status::OK();
 }
 
+Status LabelStore::LoadPage(uint64_t page_index, std::vector<char>* page) {
+  const auto pending = pending_.find(page_index);
+  if (pending == pending_.end()) return ReadPage(page_index, page);
+  *page = pending->second;
+  return Status::OK();
+}
+
 Status LabelStore::WritePage(uint64_t page_index, std::vector<char>* page) {
   obs::ScopedTimer timer(write_ns_);
   if (crashed_) return Status::IoError("store crashed (injected)");
@@ -788,13 +867,7 @@ Status LabelStore::WritePage(uint64_t page_index, std::vector<char>* page) {
     crashed_ = true;
     return Status::IoError("injected crash: short page write");
   }
-  // Errno-classified injection: persistent, never retried (see SyncFile).
-  int injected_errno = 0;
-  if (CDBS_FAILPOINT_ERRNO("storage.write_page.error", &injected_errno) ||
-      (!scoped_write_error_.empty() &&
-       CDBS_FAILPOINT_ERRNO(scoped_write_error_, &injected_errno))) {
-    return ErrnoToStatus(injected_errno, "injected page-write error");
-  }
+  CDBS_RETURN_NOT_OK(InjectedWriteError());
   for (int attempt = 0;; ++attempt) {
     const bool injected = CDBS_FAILPOINT("storage.write_page.io_error");
     if (!injected) {

@@ -17,24 +17,28 @@
 /// A small paged, file-backed record store for serialized labels. The
 /// update-time experiments (Figure 7) measure *total* time — processing
 /// plus I/O — and the paper observes that for intermittent updates the I/O
-/// dominates, compressing the gap between the dynamic schemes to ~2x. This
-/// store reproduces that: every record rewrite is a page read-modify-write
-/// against a real file.
+/// dominates, compressing the gap between the dynamic schemes to ~2x. The
+/// unlogged `Rewrite`/`Append` path reproduces that: every record rewrite
+/// is a page read-modify-write against a real file.
 ///
 /// Layout: fixed 4 KiB pages, the last 4 bytes of each holding a CRC32C of
 /// the rest (verified on every read); each page holds a contiguous run of
 /// fixed-slot records (slot size chosen at bulk load from the largest
 /// record, with headroom for label growth). Records are addressed by index.
-/// Updates applied through `ApplyBatch` are crash-consistent: the batch is
-/// logged to a write-ahead log and fsynced before any page is touched, and
-/// `OpenExisting` replays the log / truncates its torn tail. The full
-/// on-disk format and recovery protocol are in docs/DURABILITY.md.
+/// Updates applied through `ApplyBatch` are crash-consistent and no-force:
+/// a commit is one write-ahead-log append + fsync, and its page images stay
+/// in memory as pending pages. Pages and header reach the page file only at
+/// a checkpoint, once the WAL outgrows `kCheckpointWalBytes` (or on an
+/// explicit `Checkpoint`); `OpenExisting` replays the log / truncates its
+/// torn tail. The full on-disk format and recovery protocol are in
+/// docs/DURABILITY.md.
 
 namespace cdbs::storage {
 
 /// Counters for the I/O the store performed. A point-in-time view computed
 /// from this store's metric registry (`storage.*` metrics); the registry is
-/// the source of truth.
+/// the source of truth. Pages are written at checkpoints and on the
+/// unlogged path, not per commit.
 struct IoStats {
   uint64_t page_reads = 0;
   uint64_t page_writes = 0;
@@ -98,6 +102,11 @@ class LabelStore {
   static constexpr uint32_t kFormatLegacy = 2;
   static constexpr uint32_t kFormatCompact = 3;
 
+  /// A commit that leaves more WAL bytes than this since the last
+  /// checkpoint runs a checkpoint. It bounds the replay at open and the
+  /// page bytes a checkpoint writes per commit.
+  static constexpr uint64_t kCheckpointWalBytes = uint64_t{1} << 20;
+
   LabelStore();
   ~LabelStore();
 
@@ -125,43 +134,56 @@ class LabelStore {
   /// unrecoverable partial store; use ApplyBatch for incremental updates.
   Status BulkLoad(const std::vector<std::string>& records, size_t headroom);
 
-  /// Applies `batch` atomically: logs it to the WAL, fsyncs, writes the
-  /// affected pages + header, fsyncs, then checkpoints the WAL. After a
+  /// Applies `batch` atomically: logs it to the WAL and fsyncs; the
+  /// affected pages become pending pages (see ApplyBatchGroup). After a
   /// crash anywhere inside, OpenExisting recovers either the full batch or
   /// none of it. Returns OutOfRange (before any I/O) when a record does
   /// not fit its slot — the caller re-issues as a Reload batch.
   Status ApplyBatch(const StoreBatch& batch);
 
   /// Group commit: applies a whole sequence of batches with ONE WAL append
-  /// + fsync for the group (then one page-write pass + file sync). Later
-  /// batches see earlier ones' effects — appends chain, rewrites may hit
-  /// records appended earlier in the group. Each batch still gets its own
-  /// WAL record, so a crash mid-commit recovers to a state some *prefix*
-  /// of the group produced; once the single fsync returns, the whole group
-  /// is durable. Returns OutOfRange (before any I/O) when any record does
-  /// not fit its slot — the caller re-issues the group as one Reload.
+  /// + fsync for the group, and no page write. Later batches see earlier
+  /// ones' effects — appends chain, rewrites may hit records appended
+  /// earlier in the group. Each batch still gets its own WAL record, so a
+  /// crash mid-commit recovers to a state some *prefix* of the group
+  /// produced; once the single fsync returns, the whole group is durable.
+  /// The staged page images then replace their pending pages, and when the
+  /// WAL has outgrown kCheckpointWalBytes the commit runs Checkpoint; a
+  /// checkpoint failure is returned although the group is already durable.
+  /// Returns OutOfRange (before any I/O) when any record does not fit its
+  /// slot — the caller re-issues the group as one Reload.
   Status ApplyBatchGroup(const std::vector<const StoreBatch*>& batches);
+
+  /// Writes every pending page and the header to the page file, fsyncs it,
+  /// then truncates the WAL and fsyncs the truncation. A crash inside
+  /// leaves the WAL intact, so reopening replays it. No-op when the WAL is
+  /// empty.
+  Status Checkpoint();
+
+  /// Committed pages that the page file does not hold yet.
+  size_t pending_pages() const { return pending_.size(); }
 
   /// Number of records.
   size_t size() const { return record_count_; }
 
-  /// Reads one record (page read + checksum verify + slot decode).
+  /// Reads one record (LoadPage + slot decode).
   Status Read(size_t index, std::string* record);
 
   /// Rewrites one record in place: page read, modify, page write. The
   /// record must fit the slot; returns OutOfRange otherwise (caller
-  /// re-bulk-loads, which is exactly a re-labeling). Not WAL-logged.
+  /// re-bulk-loads, which is exactly a re-labeling). Not WAL-logged; runs
+  /// Checkpoint first so the page file holds every committed page.
   Status Rewrite(size_t index, const std::string& record);
 
   /// Appends one record at the end (may touch the last page only). Not
-  /// WAL-logged.
+  /// WAL-logged; runs Checkpoint first, like Rewrite.
   Status Append(const std::string& record);
 
-  /// Flushes OS buffers for the file.
+  /// Checkpoints, then flushes OS buffers for the file.
   Status Sync();
 
-  /// Reads and checksum-verifies every page (header + data). OK iff the
-  /// whole store is intact.
+  /// Checksum-verifies every page (header + data) the page file holds and
+  /// no pending page replaces. OK iff all of them are intact.
   Status VerifyChecksums();
 
   /// The sibling WAL path for a store at `store_path`.
@@ -183,10 +205,10 @@ class LabelStore {
   uint32_t format() const { return format_; }
 
   /// Installs the per-store interned tag table: `names[id]` is the tag
-  /// string record payloads refer to by varint TagId. Persisted in the
-  /// header page from the next header write (every batch rewrites the
-  /// header, so the table lands with the batch that first references its
-  /// new ids). Returns InvalidArgument when the store is legacy-format or
+  /// string record payloads refer to by varint TagId. Every WAL record
+  /// carries the table, so it is durable with the batch that first
+  /// references its new ids; the header page gets it at the next
+  /// checkpoint. Returns InvalidArgument when the store is legacy-format or
   /// the encoded table does not fit the header page — callers fall back to
   /// tag-free records.
   Status SetTagTable(const std::vector<std::string>& names);
@@ -198,8 +220,11 @@ class LabelStore {
   /// e.g. "shard-1", the store also evaluates `storage.shard-1.sync.error`
   /// and `storage.shard-1.write_page.error` next to the global
   /// `storage.sync.error` / `storage.write_page.error` sites, so chaos
-  /// tests can sicken exactly one shard of a sharded corpus. Survives
-  /// Open/OpenExisting. Empty (the default) disables the scoped sites.
+  /// tests can sicken exactly one shard of a sharded corpus. These sites
+  /// stand for the store's device: the write sites fire at the commit's
+  /// WAL append and at every page write, the sync sites at the commit's
+  /// WAL fsync and at every page-file fsync. Survives Open/OpenExisting.
+  /// Empty (the default) disables the scoped sites.
   void set_failpoint_scope(std::string_view scope);
 
  private:
@@ -224,10 +249,17 @@ class LabelStore {
 
   Status ReadPageRaw(uint64_t page_index, std::vector<char>* page);
   Status ReadPage(uint64_t page_index, std::vector<char>* page);
+  /// The committed image of a page: its pending image, else the file's.
+  Status LoadPage(uint64_t page_index, std::vector<char>* page);
   Status WritePage(uint64_t page_index, std::vector<char>* page);
   Status WriteHeader();
   Status WriteHeaderWith(uint64_t slot_size, uint64_t record_count);
   Status SyncFile();
+  /// Empties the WAL (durably) and counts its fsync.
+  Status ResetWal();
+  /// The store's errno sites (see set_failpoint_scope).
+  Status InjectedWriteError() const;
+  Status InjectedSyncError() const;
 
   /// Writes a set of fully-built page images plus the header, growing or
   /// shrinking the file to `total_pages`. The physical half of ApplyBatch,
@@ -238,7 +270,7 @@ class LabelStore {
 
   /// Stage 1 of ApplyBatchGroup: folds one batch into the evolving staged
   /// state (`count`/`slot`/`dirty`), recording the page indices this batch
-  /// touched. Reads un-staged pages from disk; performs no writes.
+  /// touched. Loads un-staged pages (LoadPage); performs no writes.
   Status StageBatch(const StoreBatch& batch, uint64_t* count, uint64_t* slot,
                     std::map<uint64_t, std::vector<char>>* dirty,
                     std::set<uint64_t>* touched);
@@ -266,6 +298,10 @@ class LabelStore {
   std::string scoped_sync_error_;
   std::string scoped_write_error_;
   std::unique_ptr<Wal> wal_;
+  // Committed page images the page file does not hold yet (no-force). The
+  // WAL since the last checkpoint carries each one, so losing them in a
+  // crash loses nothing; Checkpoint writes them. At most one per page.
+  std::map<uint64_t, std::vector<char>> pending_;
 
   obs::MetricRegistry registry_;
   // Per-instance counters (reset on Open) and their process-wide mirrors.
@@ -276,6 +312,8 @@ class LabelStore {
   obs::Counter* checksum_failures_;
   obs::Counter* io_retries_;
   obs::Counter* recoveries_;
+  obs::Counter* syncs_;
+  obs::Counter* checkpoints_;
   obs::Histogram* read_ns_;
   obs::Histogram* write_ns_;
   obs::Histogram* recovery_ns_;
@@ -286,6 +324,8 @@ class LabelStore {
   obs::Counter* global_checksum_failures_;
   obs::Counter* global_io_retries_;
   obs::Counter* global_recoveries_;
+  obs::Counter* global_syncs_;
+  obs::Counter* global_checkpoints_;
 };
 
 }  // namespace cdbs::storage

@@ -201,6 +201,10 @@ Status Wal::Sync() {
   if (fd_ < 0) return Status::Internal("WAL not open");
   if (crashed_) return Status::IoError("WAL crashed (injected)");
   obs::TraceSpan span(obs::SpanName::kWalFsync);
+  return SyncFd();
+}
+
+Status Wal::SyncFd() {
   if (CDBS_FAILPOINT("wal.sync.crash")) {
     crashed_ = true;
     return Status::IoError("injected crash: WAL sync");
@@ -226,6 +230,7 @@ Status Wal::Recover(std::vector<std::string>* payloads) {
   if (::fstat(fd_, &st) != 0) return Status::IoError("fstat failed on WAL");
   const uint64_t size = static_cast<uint64_t>(st.st_size);
   uint64_t offset = 0;
+  uint64_t prev_lsn = 0;
   bool torn = false;
   while (offset + kRecordHeader <= size) {
     char header[kRecordHeader];
@@ -258,6 +263,14 @@ Status Wal::Recover(std::vector<std::string>* payloads) {
       torn = true;
       break;
     }
+    if (offset > 0 && lsn <= prev_lsn) {
+      // An intact record whose LSN does not increase is a stale tail: it
+      // predates a truncation that did not reach the disk, and replaying
+      // it would roll newer pages back.
+      torn = true;
+      break;
+    }
+    prev_lsn = lsn;
     if (compressed) {
       // The CRC verified, so the stored bytes are exactly what the writer
       // produced; a decompression failure here is real corruption, not a
@@ -339,7 +352,9 @@ Status Wal::Reset() {
     return Status::IoError("cannot reset WAL");
   }
   end_offset_ = 0;
-  return Status::OK();
+  // The truncation must be durable before anything is appended again: a
+  // lost truncate would leave old, intact records behind the new ones.
+  return SyncFd();
 }
 
 }  // namespace cdbs::storage

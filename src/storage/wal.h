@@ -78,7 +78,9 @@ class Wal {
   /// Scans the log from the start, appending every intact payload to
   /// `payloads`. A torn or checksum-failing tail is truncated away (the
   /// file is physically cut at the last intact record boundary); intact
-  /// records before the tear are still returned. Restores the LSN counter:
+  /// records before the tear are still returned. So is a stale tail: the
+  /// scan also stops at the first record whose LSN is not above its
+  /// predecessor's. Restores the LSN counter:
   /// after Recover, `next_lsn()` is one past the last intact record (or
   /// unchanged when the log is empty).
   Status Recover(std::vector<std::string>* payloads);
@@ -91,11 +93,11 @@ class Wal {
   /// cursor avoids re-reading what it already consumed.
   Status ReadFrom(uint64_t lsn, std::vector<WalRecord>* out) const;
 
-  /// Empties the log (after a checkpoint: the store's pages and header are
-  /// durable, so the logged batch is no longer needed). The LSN counter is
-  /// preserved — records appended after a Reset continue the sequence, so
-  /// a reader that saw LSN n can detect that records (n, m) were evicted
-  /// rather than silently miss them.
+  /// Empties the log and fsyncs the truncation (after a checkpoint: the
+  /// store's pages and header are durable, so the logged batches are no
+  /// longer needed). The LSN counter is preserved — records appended after
+  /// a Reset continue the sequence, so a reader that saw LSN n can detect
+  /// that records (n, m) were evicted rather than silently miss them.
   Status Reset();
 
   /// Current log tail offset in bytes.
@@ -119,6 +121,8 @@ class Wal {
 
  private:
   Status WriteAt(uint64_t offset, const char* data, size_t n);
+  /// fdatasync with the crash site and retry loop, shared by Sync and Reset.
+  Status SyncFd();
 
   int fd_ = -1;
   std::string path_;

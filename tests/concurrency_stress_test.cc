@@ -11,6 +11,7 @@
 #include "engine/concurrent_db.h"
 #include "query/evaluator.h"
 #include "query/xpath.h"
+#include "test_paths.h"
 #include "util/ordered_varint.h"
 #include "xml/shakespeare.h"
 
@@ -149,7 +150,7 @@ TEST(ConcurrentStressTest, HamletReadersSeeOrderedDuplicateFreeSpeakers) {
 
 TEST(ConcurrentStressTest, StoreBackedPipelineStaysDurableUnderLoad) {
   const std::string path =
-      ::testing::TempDir() + "/concurrent_stress_store.bin";
+      testing_util::UniqueTempPath("concurrent_stress_store") + ".bin";
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
   ConcurrentXmlDbOptions options;

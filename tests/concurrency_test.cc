@@ -13,6 +13,7 @@
 #include "concurrency/thread_pool.h"
 #include "engine/concurrent_db.h"
 #include "obs/metrics.h"
+#include "test_paths.h"
 #include "util/deadline.h"
 #include "util/failpoint.h"
 #include "util/ordered_varint.h"
@@ -370,7 +371,8 @@ TEST(ConcurrentXmlDbTest, SubmittedQueriesRunOnTheWorkerPool) {
 }
 
 TEST(ConcurrentXmlDbTest, GroupCommitAmortizesStoreFsyncs) {
-  const std::string path = ::testing::TempDir() + "/concurrent_group.bin";
+  const std::string path =
+      testing_util::UniqueTempPath("concurrent_group") + ".bin";
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
   ConcurrentXmlDbOptions options;
@@ -435,7 +437,8 @@ uint64_t CounterValue(const obs::MetricRegistry& registry,
 }  // namespace
 
 TEST(ConcurrentXmlDbTest, ExpiredWriteNeverReachesWal) {
-  const std::string path = ::testing::TempDir() + "/deadline_write.bin";
+  const std::string path =
+      testing_util::UniqueTempPath("deadline_write") + ".bin";
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
   ConcurrentXmlDbOptions options;
@@ -464,7 +467,8 @@ TEST(ConcurrentXmlDbTest, ExpiredWriteNeverReachesWal) {
 }
 
 TEST(ConcurrentXmlDbTest, WriteExpiredWhileQueuedIsShedBeforeTheWal) {
-  const std::string path = ::testing::TempDir() + "/deadline_queued.bin";
+  const std::string path =
+      testing_util::UniqueTempPath("deadline_queued") + ".bin";
   std::remove(path.c_str());
   std::remove((path + ".wal").c_str());
   ConcurrentXmlDbOptions options;
@@ -607,7 +611,7 @@ class ConcurrentPersistFailureTest : public ::testing::Test {
   }
 
   static std::string FreshPath(const std::string& name) {
-    const std::string path = ::testing::TempDir() + "/" + name;
+    const std::string path = testing_util::UniqueTempPath(name);
     std::remove(path.c_str());
     std::remove((path + ".wal").c_str());
     return path;

@@ -1,11 +1,14 @@
 #include <cstdio>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "engine/xml_db.h"
 #include "storage/label_store.h"
+#include "test_paths.h"
 #include "util/failpoint.h"
 #include "util/ordered_varint.h"
 #include "util/random.h"
@@ -13,9 +16,10 @@
 /// \file
 /// The crash matrix (docs/DURABILITY.md): for every registered crash
 /// failpoint site in the update path, and for every occurrence of that site
-/// within one update, kill the store at that point, reopen, and verify the
-/// survivor (a) passes full checksum verification and (b) contains either
-/// the whole update or none of it — never a torn mix.
+/// within one update or one checkpoint, kill the store at that point,
+/// reopen, and verify the survivor (a) passes full checksum verification
+/// and (b) contains either the whole update or none of it — never a torn
+/// mix — and every update acknowledged before it.
 
 namespace cdbs::storage {
 namespace {
@@ -55,13 +59,13 @@ std::vector<std::string> ReadAll(LabelStore* store) {
 class CrashMatrixTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/crash_matrix_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".db";
+    path_ = testing_util::UniqueTempPath("crash_matrix") + ".db";
   }
 
   void TearDown() override {
     for (const char* site : kCrashSites) Failpoints::Deactivate(site);
     Failpoints::Deactivate("storage.write_page.io_error");
+    Failpoints::Deactivate("wal.append.io_error");
     std::remove(path_.c_str());
     std::remove(LabelStore::WalPath(path_).c_str());
   }
@@ -128,6 +132,152 @@ TEST_F(CrashMatrixTest, EveryCrashSiteYieldsPreOrPostState) {
   }
 }
 
+// Incompressible fixed-length records: every WAL record is about as large
+// as the page images it carries, and rewrites always fit their slots.
+std::vector<std::string> NoiseRecords(size_t n, uint64_t seed) {
+  util::Random rng(seed);
+  std::vector<std::string> records(n);
+  for (std::string& r : records) {
+    for (int i = 0; i < 24; ++i) {
+      r.push_back(static_cast<char>('!' + rng.Uniform(90)));
+    }
+  }
+  return records;
+}
+
+// Commits to replay in a crash matrix: `batches[k]` takes the store from
+// `states[k]` to `states[k + 1]`. Each rewrites one record per 100, which
+// touches every data page of a NoiseRecords store.
+struct CommitScript {
+  std::vector<std::vector<std::string>> states;
+  std::vector<StoreBatch> batches;
+
+  void AddSpreadRewrite() {
+    std::vector<std::string> next = states.back();
+    StoreBatch batch;
+    for (size_t i = batches.size() % 100; i < next.size(); i += 100) {
+      std::swap(next[i][0], next[i][1]);
+      batch.Rewrite(i, next[i]);
+    }
+    states.push_back(std::move(next));
+    batches.push_back(std::move(batch));
+  }
+};
+
+uint64_t Checkpoints(const LabelStore& store) {
+  for (const auto& m : store.metrics().Snapshot()) {
+    if (m.name == "storage.checkpoints") return m.counter_value;
+  }
+  return 0;
+}
+
+// The commit that carries the WAL past kCheckpointWalBytes sits on pages
+// that earlier acked commits left pending, and runs a checkpoint, so every
+// site fires in it: the WAL sites in its commit, the page-file sites and
+// the WAL truncation in its checkpoint. Reopening must yield the state
+// before or after it, with every earlier commit intact.
+TEST_F(CrashMatrixTest, EveryCrashSiteInACheckpointingCommitOnPendingPages) {
+  CommitScript script;
+  script.states.push_back(NoiseRecords(1500, 11));
+  {
+    // Dry run: find the first commit that checkpoints.
+    LabelStore store;
+    ASSERT_TRUE(store.Open(path_).ok());
+    ASSERT_TRUE(store.BulkLoad(script.states[0], 0).ok());
+    while (Checkpoints(store) == 0) {
+      ASSERT_LT(script.batches.size(), 500u);
+      script.AddSpreadRewrite();
+      ASSERT_TRUE(store.ApplyBatch(script.batches.back()).ok());
+    }
+    ASSERT_GT(script.batches.size(), 1u);
+  }
+  const size_t last = script.batches.size() - 1;
+  const std::vector<std::string>& pre = script.states[last];
+  const std::vector<std::string>& post = script.states[last + 1];
+
+  for (const char* site : kCrashSites) {
+    bool injected = true;
+    bool fired = false;
+    for (int n = 0; injected; ++n) {
+      ASSERT_LT(n, 64) << site << ": matrix failed to terminate";
+      LabelStore store;
+      ASSERT_TRUE(store.Open(path_).ok());
+      ASSERT_TRUE(store.BulkLoad(script.states[0], 0).ok());
+      for (size_t c = 0; c < last; ++c) {
+        ASSERT_TRUE(store.ApplyBatch(script.batches[c]).ok());
+      }
+      ASSERT_GT(store.pending_pages(), 0u);
+      ASSERT_EQ(Checkpoints(store), 0u);
+
+      ASSERT_TRUE(
+          Failpoints::Activate(site, "after=" + std::to_string(n)).ok());
+      const uint64_t before = Failpoints::InjectionCount(site);
+      const Status status = store.ApplyBatch(script.batches[last]);
+      Failpoints::Deactivate(site);
+      injected = Failpoints::InjectionCount(site) > before;
+      fired = fired || injected;
+
+      LabelStore survivor;
+      ASSERT_TRUE(survivor.OpenExisting(path_).ok()) << site << " n=" << n;
+      ASSERT_TRUE(survivor.VerifyChecksums().ok()) << site << " n=" << n;
+      const std::vector<std::string> got = ReadAll(&survivor);
+      if (injected) {
+        EXPECT_FALSE(status.ok()) << site << " n=" << n;
+        EXPECT_TRUE(got == pre || got == post)
+            << site << " n=" << n << ": torn state or a lost acked commit";
+      } else {
+        EXPECT_TRUE(status.ok()) << site << " n=" << n;
+        EXPECT_EQ(Checkpoints(store), 1u) << site;
+        EXPECT_EQ(got, post) << site;
+      }
+    }
+    EXPECT_TRUE(fired) << site << " never fired in the commit";
+  }
+}
+
+// A crash anywhere inside Checkpoint loses no acked commit: the WAL still
+// holds them all, and replay rewrites any page the crash tore. A
+// checkpoint appends nothing, so `wal.append.short_write` has no
+// evaluation there; every other site fires.
+TEST_F(CrashMatrixTest, EveryCrashSiteInsideCheckpoint) {
+  CommitScript script;
+  script.states.push_back(NoiseRecords(1500, 12));
+  for (int c = 0; c < 3; ++c) script.AddSpreadRewrite();
+  const std::vector<std::string>& acked = script.states.back();
+
+  for (const char* site : kCrashSites) {
+    bool injected = true;
+    bool fired = false;
+    for (int n = 0; injected; ++n) {
+      ASSERT_LT(n, 64) << site << ": matrix failed to terminate";
+      LabelStore store;
+      ASSERT_TRUE(store.Open(path_).ok());
+      ASSERT_TRUE(store.BulkLoad(script.states[0], 0).ok());
+      for (const StoreBatch& batch : script.batches) {
+        ASSERT_TRUE(store.ApplyBatch(batch).ok());
+      }
+      ASSERT_GT(store.pending_pages(), 0u);
+
+      ASSERT_TRUE(
+          Failpoints::Activate(site, "after=" + std::to_string(n)).ok());
+      const uint64_t before = Failpoints::InjectionCount(site);
+      const Status status = store.Checkpoint();
+      Failpoints::Deactivate(site);
+      injected = Failpoints::InjectionCount(site) > before;
+      fired = fired || injected;
+      EXPECT_EQ(status.ok(), !injected) << site << " n=" << n;
+
+      LabelStore survivor;
+      ASSERT_TRUE(survivor.OpenExisting(path_).ok()) << site << " n=" << n;
+      ASSERT_TRUE(survivor.VerifyChecksums().ok()) << site << " n=" << n;
+      EXPECT_EQ(ReadAll(&survivor), acked) << site << " n=" << n;
+    }
+    if (std::string_view(site) != "wal.append.short_write") {
+      EXPECT_TRUE(fired) << site << " never fired in the checkpoint";
+    }
+  }
+}
+
 // The same invariant under randomized batches and crash points.
 TEST_F(CrashMatrixTest, RandomizedCrashesNeverTearTheStore) {
   util::Random rng(20260806);
@@ -140,6 +290,15 @@ TEST_F(CrashMatrixTest, RandomizedCrashesNeverTearTheStore) {
     LabelStore store;
     ASSERT_TRUE(store.Open(path_).ok());
     ASSERT_TRUE(store.BulkLoad(pre, 4).ok());
+    // Acked commits whose pages are still pending when the crash comes.
+    const size_t prior = rng.Uniform(3);
+    for (size_t c = 0; c < prior; ++c) {
+      const size_t idx = rng.Uniform(pre.size());
+      pre[idx] = "pc-" + std::to_string(c);
+      StoreBatch acked;
+      acked.Rewrite(idx, pre[idx]);
+      ASSERT_TRUE(store.ApplyBatch(acked).ok());
+    }
 
     std::vector<std::string> post = pre;
     StoreBatch batch;
@@ -155,11 +314,17 @@ TEST_F(CrashMatrixTest, RandomizedCrashesNeverTearTheStore) {
       batch.Append(post.back());
     }
 
+    // Half the rounds checkpoint right after the commit, with the site
+    // still armed, so the page-file sites can fire too.
+    const bool checkpoint = rng.Uniform(2) == 0;
     const char* site = kCrashSites[rng.Uniform(std::size(kCrashSites))];
     ASSERT_TRUE(
         Failpoints::Activate(site, "after=" + std::to_string(rng.Uniform(6)))
             .ok());
     const Status status = store.ApplyBatch(batch);
+    if (status.ok() && checkpoint) {
+      static_cast<void>(store.Checkpoint());
+    }
     Failpoints::Deactivate(site);
 
     LabelStore survivor;
@@ -167,7 +332,8 @@ TEST_F(CrashMatrixTest, RandomizedCrashesNeverTearTheStore) {
     ASSERT_TRUE(survivor.VerifyChecksums().ok()) << "round " << round;
     const std::vector<std::string> got = ReadAll(&survivor);
     if (status.ok()) {
-      EXPECT_EQ(got, post) << "round " << round;
+      // Acked: no later crash, in a checkpoint or anywhere, may lose it.
+      EXPECT_EQ(got, post) << "round " << round << " site " << site;
     } else {
       EXPECT_TRUE(got == pre || got == post)
           << "round " << round << " site " << site;
@@ -177,7 +343,8 @@ TEST_F(CrashMatrixTest, RandomizedCrashesNeverTearTheStore) {
 
 // Transient write errors (retries exhausted) are not crashes: the handle
 // stays alive, and re-applying the same batch succeeds once the fault
-// clears.
+// clears. A commit's write is its WAL append; the page writes come at the
+// checkpoint, which likewise succeeds on a retry.
 TEST_F(CrashMatrixTest, TransientFailureThenRetrySucceeds) {
   std::vector<std::string> pre = {"one", "two", "three"};
   LabelStore store;
@@ -188,15 +355,22 @@ TEST_F(CrashMatrixTest, TransientFailureThenRetrySucceeds) {
   batch.Rewrite(1, "TWO");
   batch.Append("four");
 
-  ASSERT_TRUE(
-      Failpoints::Activate("storage.write_page.io_error", "always").ok());
+  ASSERT_TRUE(Failpoints::Activate("wal.append.io_error", "always").ok());
   EXPECT_EQ(store.ApplyBatch(batch).code(), StatusCode::kIoError);
-  Failpoints::Deactivate("storage.write_page.io_error");
+  Failpoints::Deactivate("wal.append.io_error");
 
   // Same handle, same batch, fault cleared: the update lands.
   ASSERT_TRUE(store.ApplyBatch(batch).ok());
   EXPECT_EQ(ReadAll(&store), (std::vector<std::string>{"one", "TWO", "three",
                                                        "four"}));
+
+  ASSERT_TRUE(
+      Failpoints::Activate("storage.write_page.io_error", "always").ok());
+  EXPECT_EQ(store.Checkpoint().code(), StatusCode::kIoError);
+  Failpoints::Deactivate("storage.write_page.io_error");
+  ASSERT_TRUE(store.Checkpoint().ok());
+  EXPECT_EQ(store.pending_pages(), 0u);
+
   // And the on-disk state agrees.
   LabelStore survivor;
   ASSERT_TRUE(survivor.OpenExisting(path_).ok());
@@ -219,10 +393,11 @@ TEST_F(CrashMatrixTest, InterruptedRecoveryReplaysIdempotently) {
     StoreBatch batch;
     batch.Rewrite(1, "TWO");
     batch.Append("four");
-    // Crash after the WAL group is durable but before any page lands.
+    ASSERT_TRUE(store.ApplyBatch(batch).ok());
+    // Crash in the checkpoint: the WAL group is durable, no page lands.
     ASSERT_TRUE(
         Failpoints::Activate("storage.write_page.crash", "oneshot").ok());
-    EXPECT_FALSE(store.ApplyBatch(batch).ok());
+    EXPECT_FALSE(store.Checkpoint().ok());
     Failpoints::Deactivate("storage.write_page.crash");
   }
 
@@ -263,24 +438,30 @@ TEST_F(CrashMatrixTest, InterruptedRecoveryReplaysIdempotently) {
   EXPECT_EQ(replays, 0u) << "WAL must be empty after a completed recovery";
 }
 
-// A single injected I/O error is absorbed by retry-with-backoff: the batch
-// succeeds and the retry counter moves.
+// A single injected I/O error is absorbed by retry-with-backoff, both at
+// the commit's WAL append and at the checkpoint's page writes: the batch
+// lands and both retry counters move.
 TEST_F(CrashMatrixTest, OneTransientErrorIsRetriedAway) {
   LabelStore store;
   ASSERT_TRUE(store.Open(path_).ok());
   ASSERT_TRUE(store.BulkLoad({"a", "b"}, 8).ok());
 
+  ASSERT_TRUE(Failpoints::Activate("wal.append.io_error", "oneshot").ok());
   ASSERT_TRUE(
       Failpoints::Activate("storage.write_page.io_error", "oneshot").ok());
   StoreBatch batch;
   batch.Rewrite(0, "A");
   ASSERT_TRUE(store.ApplyBatch(batch).ok());
+  ASSERT_TRUE(store.Checkpoint().ok());
   EXPECT_GE(store.metrics().Snapshot().size(), 1u);
   uint64_t retries = 0;
+  uint64_t wal_retries = 0;
   for (const auto& m : store.metrics().Snapshot()) {
     if (m.name == "storage.io_retries") retries = m.counter_value;
+    if (m.name == "wal.io_retries") wal_retries = m.counter_value;
   }
   EXPECT_GE(retries, 1u);
+  EXPECT_GE(wal_retries, 1u);
   std::string got;
   ASSERT_TRUE(store.Read(0, &got).ok());
   EXPECT_EQ(got, "A");
@@ -289,13 +470,12 @@ TEST_F(CrashMatrixTest, OneTransientErrorIsRetriedAway) {
 class XmlDbCrashTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/xml_db_crash_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".db";
+    path_ = testing_util::UniqueTempPath("xml_db_crash") + ".db";
   }
 
   void TearDown() override {
     for (const char* site : kCrashSites) Failpoints::Deactivate(site);
-    Failpoints::Deactivate("storage.write_page.io_error");
+    Failpoints::Deactivate("wal.append.io_error");
     std::remove(path_.c_str());
     std::remove(LabelStore::WalPath(path_).c_str());
   }
@@ -404,10 +584,10 @@ TEST_F(XmlDbCrashTest, FailedPersistRollsBackAndNextUpdateHeals) {
   auto db = cdbs::engine::XmlDb::OpenFromXml(kDoc, options);
   ASSERT_TRUE(db.ok());
 
-  ASSERT_TRUE(
-      Failpoints::Activate("storage.write_page.io_error", "always").ok());
+  // The commit's one write is its WAL append.
+  ASSERT_TRUE(Failpoints::Activate("wal.append.io_error", "always").ok());
   const auto failed = (*db)->InsertElementAfter(1, "ghost");
-  Failpoints::Deactivate("storage.write_page.io_error");
+  Failpoints::Deactivate("wal.append.io_error");
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
 

@@ -19,6 +19,7 @@
 #include "net/socket_io.h"
 #include "storage/label_store.h"
 #include "storage/wal.h"
+#include "test_paths.h"
 #include "util/failpoint.h"
 #include "util/status.h"
 
@@ -29,7 +30,7 @@ using storage::LabelStore;
 using storage::StoreBatch;
 
 std::string TempPath(const char* stem) {
-  return testing::TempDir() + "/" + stem + ".cdbs";
+  return testing_util::UniqueTempPath(stem) + ".cdbs";
 }
 
 void RemoveStore(const std::string& path) {
@@ -91,15 +92,16 @@ TEST(LegacyFormatTest, SurvivesCrashRecovery) {
     ASSERT_TRUE(store.OpenWithFormat(path, LabelStore::kFormatLegacy).ok());
     ASSERT_TRUE(store.BulkLoad(records, 8).ok());
 
-    // Crash after the WAL append is durable but before the pages land:
-    // recovery must redo the whole batch.
-    ASSERT_TRUE(
-        util::Failpoints::Activate("storage.write_page.crash", "oneshot")
-            .ok());
+    // Crash after the WAL append is durable but before the pages land (in
+    // the checkpoint): recovery must redo the whole batch.
     StoreBatch batch;
     batch.Rewrite(0, "ONE");
     batch.Append("four");
-    EXPECT_FALSE(store.ApplyBatch(batch).ok());
+    ASSERT_TRUE(store.ApplyBatch(batch).ok());
+    ASSERT_TRUE(
+        util::Failpoints::Activate("storage.write_page.crash", "oneshot")
+            .ok());
+    EXPECT_FALSE(store.Checkpoint().ok());
     util::Failpoints::Deactivate("storage.write_page.crash");
   }
   {
@@ -142,7 +144,8 @@ class WalCompressionSkewTest : public ::testing::Test {
   }
 
   // Writes a store, then a batch whose WAL record is durable but whose
-  // pages never land (injected crash), all under `write_compressed`.
+  // pages never land (injected crash in the checkpoint), all under
+  // `write_compressed`.
   // Recovery then runs under `read_compressed` — the reader must accept
   // both layouts regardless of its own writing mode.
   void WriteCrashThenRecover(bool write_compressed, bool read_compressed) {
@@ -159,13 +162,14 @@ class WalCompressionSkewTest : public ::testing::Test {
       LabelStore store;
       ASSERT_TRUE(store.Open(path).ok());
       ASSERT_TRUE(store.BulkLoad(records, 8).ok());
-      ASSERT_TRUE(
-          util::Failpoints::Activate("storage.write_page.crash", "oneshot")
-              .ok());
       StoreBatch batch;
       batch.Rewrite(2, "REWRITTEN" + std::string(64, '\0'));
       batch.Append("appended" + std::string(64, '\0'));
-      EXPECT_FALSE(store.ApplyBatch(batch).ok());
+      ASSERT_TRUE(store.ApplyBatch(batch).ok());
+      ASSERT_TRUE(
+          util::Failpoints::Activate("storage.write_page.crash", "oneshot")
+              .ok());
+      EXPECT_FALSE(store.Checkpoint().ok());
       util::Failpoints::Deactivate("storage.write_page.crash");
     }
     storage::Wal::set_compression_enabled(read_compressed);

@@ -17,6 +17,7 @@
 #include "query/evaluator.h"
 #include "query/tag_index.h"
 #include "query/xpath.h"
+#include "test_paths.h"
 #include "util/random.h"
 #include "xml/generator.h"
 #include "xml/shakespeare.h"
@@ -140,7 +141,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(IntegrationTest, XmlDbSurvivesMixedWorkloadWithPersistence) {
   engine::XmlDbOptions options;
-  options.storage_path = ::testing::TempDir() + "/integration_store.db";
+  options.storage_path =
+      testing_util::UniqueTempPath("integration_store") + ".db";
   xml::Document play = xml::GeneratePlay(21, 1200);
   auto db = engine::XmlDb::Open(std::move(play), options);
   ASSERT_TRUE(db.ok());

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_paths.h"
 #include "util/random.h"
 
 namespace cdbs::storage {
@@ -17,8 +18,7 @@ namespace {
 class LabelStoreTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/label_store_test_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".db";
+    path_ = testing_util::UniqueTempPath("label_store_test") + ".db";
     ASSERT_TRUE(store_.Open(path_).ok());
   }
 
@@ -142,7 +142,8 @@ TEST_F(LabelStoreTest, ReopenExistingPreservesRecords) {
 }
 
 TEST_F(LabelStoreTest, OpenExistingRejectsGarbage) {
-  const std::string garbage = ::testing::TempDir() + "/garbage_store.bin";
+  const std::string garbage =
+      testing_util::UniqueTempPath("garbage_store") + ".bin";
   {
     std::FILE* f = std::fopen(garbage.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -159,7 +160,8 @@ TEST_F(LabelStoreTest, OpenExistingRejectsGarbage) {
 
 TEST_F(LabelStoreTest, OpenExistingDistinguishesTruncatedFromWrongMagic) {
   // A file cut short of even one header page is Truncated, not Corruption.
-  const std::string stub = ::testing::TempDir() + "/short_store.bin";
+  const std::string stub =
+      testing_util::UniqueTempPath("short_store") + ".bin";
   {
     std::FILE* f = std::fopen(stub.c_str(), "wb");
     ASSERT_NE(f, nullptr);
@@ -292,15 +294,88 @@ TEST_F(LabelStoreTest, ApplyBatchReloadResizesSlots) {
 
 TEST_F(LabelStoreTest, ApplyBatchCheckpointsTheWal) {
   ASSERT_TRUE(store_.BulkLoad({"a", "b"}, 8).ok());
+  const uint64_t page_writes = store_.io_stats().page_writes;
   StoreBatch batch;
   batch.Rewrite(1, "B");
   ASSERT_TRUE(store_.ApplyBatch(batch).ok());
-  // After a clean apply the WAL is empty again (checkpointed).
+  // The commit is one WAL append + fsync: the page waits in memory and the
+  // WAL keeps the record.
   struct stat st;
   ASSERT_EQ(::stat(LabelStore::WalPath(path_).c_str(), &st), 0);
-  EXPECT_EQ(st.st_size, 0);
+  EXPECT_GT(st.st_size, 0);
+  EXPECT_EQ(store_.io_stats().page_writes, page_writes);
+  EXPECT_EQ(store_.pending_pages(), 1u);
   EXPECT_EQ(CounterValue(store_, "wal.appends"), 1u);
   EXPECT_GE(CounterValue(store_, "wal.syncs"), 1u);
+  std::string got;
+  ASSERT_TRUE(store_.Read(1, &got).ok());
+  EXPECT_EQ(got, "B");
+
+  // After a checkpoint the WAL is empty again and the page is in the file.
+  ASSERT_TRUE(store_.Checkpoint().ok());
+  ASSERT_EQ(::stat(LabelStore::WalPath(path_).c_str(), &st), 0);
+  EXPECT_EQ(st.st_size, 0);
+  EXPECT_EQ(store_.pending_pages(), 0u);
+  EXPECT_EQ(store_.io_stats().page_writes, page_writes + 2);  // page, header
+  EXPECT_EQ(CounterValue(store_, "storage.checkpoints"), 1u);
+
+  // A commit that takes the WAL past kCheckpointWalBytes checkpoints by
+  // itself: one rewrite per data page of incompressible records.
+  util::Random rng(7);
+  std::vector<std::string> records(2000);
+  for (std::string& r : records) {
+    for (int i = 0; i < 40; ++i) r.push_back('!' + rng.Uniform(90));
+  }
+  ASSERT_TRUE(store_.BulkLoad(records, 0).ok());
+  int commits = 0;
+  while (CounterValue(store_, "storage.checkpoints") == 1) {
+    ASSERT_LT(commits, 100) << "no checkpoint after " << commits << " commits";
+    StoreBatch spread;
+    for (size_t i = 0; i < records.size(); i += 50) {
+      std::swap(records[i][0], records[i][1]);
+      spread.Rewrite(i, records[i]);
+    }
+    ASSERT_TRUE(store_.ApplyBatch(spread).ok());
+    ++commits;
+  }
+  EXPECT_GT(commits, 1);
+  EXPECT_EQ(CounterValue(store_, "storage.checkpoints"), 2u);
+  EXPECT_EQ(store_.pending_pages(), 0u);
+  ASSERT_EQ(::stat(LabelStore::WalPath(path_).c_str(), &st), 0);
+  EXPECT_EQ(st.st_size, 0);
+  LabelStore reopened;
+  ASSERT_TRUE(reopened.OpenExisting(path_).ok());
+  EXPECT_EQ(CounterValue(reopened, "storage.recovery.replays"), 0u);
+  for (size_t i = 0; i < records.size(); ++i) {
+    ASSERT_TRUE(reopened.Read(i, &got).ok());
+    ASSERT_EQ(got, records[i]) << i;
+  }
+}
+
+// A reload that shrinks the store drops the pending pages past its new
+// end, so the next checkpoint leaves a file of exactly the new size.
+TEST_F(LabelStoreTest, ShrinkingReloadDropsPendingPagesPastTheEnd) {
+  ASSERT_TRUE(store_.BulkLoad(std::vector<std::string>(600, "record"), 0)
+                  .ok());
+  StoreBatch tail;
+  tail.Rewrite(599, "RECORD");
+  ASSERT_TRUE(store_.ApplyBatch(tail).ok());
+  ASSERT_EQ(store_.pending_pages(), 1u);
+  StoreBatch shrink;
+  shrink.Reload({"a", "b"}, 0);
+  ASSERT_TRUE(store_.ApplyBatch(shrink).ok());
+  EXPECT_EQ(store_.pending_pages(), 1u);
+  ASSERT_TRUE(store_.Checkpoint().ok());
+  struct stat st;
+  ASSERT_EQ(::stat(path_.c_str(), &st), 0);
+  EXPECT_EQ(static_cast<size_t>(st.st_size), 2 * LabelStore::kPageSize);
+  LabelStore reopened;
+  ASSERT_TRUE(reopened.OpenExisting(path_).ok());
+  ASSERT_TRUE(reopened.VerifyChecksums().ok());
+  ASSERT_EQ(reopened.size(), 2u);
+  std::string got;
+  ASSERT_TRUE(reopened.Read(1, &got).ok());
+  EXPECT_EQ(got, "b");
 }
 
 TEST_F(LabelStoreTest, OpenExistingRejectsMissingFile) {

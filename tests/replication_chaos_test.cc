@@ -15,6 +15,7 @@
 #include "net/server.h"
 #include "obs/metrics.h"
 #include "repl/follower.h"
+#include "test_paths.h"
 #include "util/deadline.h"
 #include "util/failpoint.h"
 #include "util/status.h"
@@ -69,8 +70,7 @@ bool IsExpectedChaosFailure(const Status& st) {
 class ReplicationChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/repl_chaos_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = testing_util::UniqueTempPath("repl_chaos");
     std::filesystem::create_directories(dir_);
   }
 

@@ -14,6 +14,7 @@
 #include "obs/metrics.h"
 #include "repl/follower.h"
 #include "repl/replication.h"
+#include "test_paths.h"
 #include "util/deadline.h"
 #include "util/failpoint.h"
 #include "util/status.h"
@@ -128,8 +129,7 @@ TEST(BootstrapSpecCodecTest, RoundtripsAndRejectsMalformedBlobs) {
 class ReplicationLogTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/repl_log_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".wal";
+    path_ = testing_util::UniqueTempPath("repl_log") + ".wal";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -233,8 +233,7 @@ bool WaitUntil(const std::function<bool()>& pred, int timeout_ms = 10000) {
 class ReplicationE2ETest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/repl_e2e_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
+    dir_ = testing_util::UniqueTempPath("repl_e2e");
     std::filesystem::create_directories(dir_);
   }
 

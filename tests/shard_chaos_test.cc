@@ -221,9 +221,10 @@ TEST_F(ShardChaosTest, SustainedLoadSurvivesEnospcOnOneShard) {
 }
 
 TEST_F(ShardChaosTest, EioPageWriteKillsAndRecoversAShard) {
-  // The "kill-shard" variant of the matrix: EIO on the page-write path
-  // (not fsync) — a dying disk rather than a full one. Same supervision
-  // contract, different injection site and errno class.
+  // The "kill-shard" variant of the matrix: EIO on the store's write path
+  // (the commit's WAL append, and page writes at checkpoints), not fsync —
+  // a dying disk rather than a full one. Same supervision contract,
+  // different injection site and errno class.
   ShardedDbOptions options;
   options.shard_count = 2;
   options.router = RouterKind::kExplicit;

@@ -8,6 +8,7 @@
 
 #include "engine/concurrent_db.h"
 #include "obs/trace.h"
+#include "test_paths.h"
 #include "util/failpoint.h"
 
 /// End-to-end tests for the request-tracing subsystem (src/obs/trace.h):
@@ -121,7 +122,8 @@ TEST_F(TraceTest, ScopedSpansFanOutToEveryGroupId) {
 // one dominant, attributable stage and scheduling noise stays << 10%.
 TEST_F(TraceTest, WriteTraceStagesSumToEndToEndLatency) {
   ConfigureSampled();
-  const std::string store = ::testing::TempDir() + "/trace_test_store.bin";
+  const std::string store =
+      testing_util::UniqueTempPath("trace_test_store") + ".bin";
   std::remove(store.c_str());
   std::remove((store + ".wal").c_str());
   ConcurrentXmlDbOptions options;

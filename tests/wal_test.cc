@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "obs/metrics.h"
+#include "test_paths.h"
 #include "util/failpoint.h"
 #include "util/status.h"
 
@@ -18,8 +19,7 @@ namespace {
 class WalTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "/wal_test_" +
-            std::to_string(reinterpret_cast<uintptr_t>(this)) + ".wal";
+    path_ = testing_util::UniqueTempPath("wal_test") + ".wal";
     std::remove(path_.c_str());
   }
 
@@ -385,6 +385,54 @@ TEST_F(WalTest, ResetPreservesLsnCounter) {
   ASSERT_EQ(records.size(), 1u);
   EXPECT_EQ(records[0].lsn, 4u);
   EXPECT_EQ(records[0].payload, "d");
+}
+
+TEST_F(WalTest, ResetSyncsTheTruncation) {
+  Wal wal(&registry_);
+  ASSERT_TRUE(wal.Open(path_).ok());
+  ASSERT_TRUE(wal.Append("soon gone").ok());
+  const obs::Counter* syncs = registry_.GetCounter("wal.syncs", "");
+  const uint64_t before = syncs->value();
+  ASSERT_TRUE(wal.Reset().ok());
+  EXPECT_EQ(syncs->value(), before + 1);
+  EXPECT_EQ(FileSize(), 0u);
+}
+
+// A truncation that never reached the disk leaves old, intact records
+// behind newer ones of the same length. Their LSNs do not increase, so
+// recovery stops at the first of them instead of replaying stale images
+// over the newer record.
+TEST_F(WalTest, StaleTailBehindANewerRecordIsNotReplayed) {
+  std::string stale_tail;
+  {
+    Wal wal(&registry_);
+    ASSERT_TRUE(wal.Open(path_).ok());
+    ASSERT_TRUE(wal.AppendBatch({"old-1", "old-2", "old-3"}).ok());
+    ASSERT_TRUE(wal.Sync().ok());
+    std::FILE* f = std::fopen(path_.c_str(), "rb");
+    ASSERT_NE(f, nullptr);
+    std::string all(FileSize(), '\0');
+    ASSERT_EQ(std::fread(all.data(), 1, all.size(), f), all.size());
+    std::fclose(f);
+    stale_tail = all.substr(all.size() / 3);  // the records of old-2, old-3
+    ASSERT_TRUE(wal.Reset().ok());
+    ASSERT_TRUE(wal.Append("new-4").ok());
+    ASSERT_TRUE(wal.Sync().ok());
+    EXPECT_EQ(wal.last_lsn(), 4u);
+  }
+  const uint64_t intact_size = FileSize();
+  ASSERT_EQ(intact_size, stale_tail.size() / 2);
+  AppendRawBytes(stale_tail);  // what a lost truncate leaves on disk
+
+  Wal reopened(&registry_);
+  ASSERT_TRUE(reopened.Open(path_).ok());
+  std::vector<std::string> payloads;
+  ASSERT_TRUE(reopened.Recover(&payloads).ok());
+  ASSERT_EQ(payloads, std::vector<std::string>{"new-4"});
+  EXPECT_EQ(reopened.next_lsn(), 5u);
+  // The stale records were cut away, so later appends follow new-4.
+  EXPECT_EQ(FileSize(), intact_size);
+  EXPECT_EQ(reopened.size_bytes(), intact_size);
 }
 
 TEST_F(WalTest, InjectedSyncCrashPoisonsHandle) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "test_paths.h"
 #include "xml/parser.h"
 #include "xml/shakespeare.h"
 
@@ -154,10 +155,7 @@ class XmlDbPersistenceTest : public ::testing::TestWithParam<std::string> {};
 TEST_P(XmlDbPersistenceTest, UpdatesFlowToStore) {
   XmlDbOptions options;
   options.scheme_name = GetParam();
-  options.storage_path = ::testing::TempDir() + "/xml_db_" +
-                         std::to_string(::getpid()) + "_" +
-                         std::to_string(reinterpret_cast<uintptr_t>(this)) +
-                         ".db";
+  options.storage_path = testing_util::UniqueTempPath("xml_db") + ".db";
   auto db = XmlDb::OpenFromXml(kDoc, options);
   ASSERT_TRUE(db.ok()) << db.status();
   const uint64_t writes_initial = (*db)->Stats().store_page_writes;
@@ -165,6 +163,9 @@ TEST_P(XmlDbPersistenceTest, UpdatesFlowToStore) {
   auto desk = (*db)->QueryOne("/library/desk");
   ASSERT_TRUE(desk.ok());
   ASSERT_TRUE((*db)->InsertElementBefore(*desk, "lamp").ok());
+  // The commit logs the update; its pages reach the file at a checkpoint.
+  EXPECT_EQ((*db)->Stats().store_page_writes, writes_initial);
+  ASSERT_TRUE((*db)->Checkpoint().ok());
   EXPECT_GT((*db)->Stats().store_page_writes, writes_initial);
   EXPECT_EQ(*(*db)->Count("/library/lamp"), 1u);
   std::remove(options.storage_path.c_str());
@@ -238,8 +239,7 @@ TEST(XmlDbTest, PrimeDeleteRecomputesScValues) {
 
 TEST(XmlDbTest, StoreFileIsReopenableAndComplete) {
   XmlDbOptions options;
-  options.storage_path = ::testing::TempDir() + "/xml_db_reopen_" +
-                         std::to_string(::getpid()) + ".db";
+  options.storage_path = testing_util::UniqueTempPath("xml_db_reopen") + ".db";
   {
     auto db = XmlDb::OpenFromXml(kDoc, options);
     ASSERT_TRUE(db.ok());
